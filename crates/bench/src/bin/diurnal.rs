@@ -189,8 +189,12 @@ fn main() {
     let workload = args.choice_or("--workload", "rem", &catalog());
     let gbps: Option<f64> = args.value_of("--gbps");
     let seed: Option<u64> = args.value_of("--seed");
-    let chaos = args.chaos();
     let matrix = cells();
+    let quick = args.quick;
+    let chaos = args.chaos(matrix.iter().map(|&c| {
+        let shards = config_for(c, workload, gbps, seed, None, quick).shards();
+        (c.label(), shards)
+    }));
 
     if args.list {
         println!("Diurnal sweep — {workload}, 6 Zipf tenants over a compressed 24 h day:");
@@ -221,7 +225,6 @@ fn main() {
         matrix.len(),
         executor.jobs()
     );
-    let quick = args.quick;
     let rows: Vec<(Cell, DiurnalReport)> = executor.map(matrix, |cell| {
         let cfg = config_for(cell, workload, gbps, seed, chaos, quick);
         let report = simulate_in(&cfg, &ctx.scope(cell.label()));

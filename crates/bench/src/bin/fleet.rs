@@ -341,7 +341,6 @@ fn main() {
     let servers: u32 = args.value_or("--servers", 64);
     let snics: Option<u32> = args.value_of("--snics");
     let gbps: Option<f64> = args.value_of("--gbps");
-    let chaos = args.chaos();
     if let Some(m) = snics {
         if m > servers {
             eprintln!("fleet: --snics {m} exceeds --servers {servers}");
@@ -349,6 +348,7 @@ fn main() {
         }
     }
     let matrix = cells(servers, snics, gbps, args.quick);
+    let chaos = args.chaos(matrix.iter().map(|c| (c.label(), c.servers)));
 
     if args.list {
         println!("Fleet sweep — {servers} servers, REM (MTU) workload:");

@@ -355,19 +355,41 @@ impl Args {
             })
     }
 
-    /// The fault plan selected by the shared `--chaos` axis, if given.
-    /// On a malformed plan, prints the uniform `tool: invalid value` line
-    /// and exits 2.
-    pub fn chaos(&self) -> Option<ChaosSpec> {
-        self.opt("--chaos").map(|v| {
-            ChaosSpec::parse(v).unwrap_or_else(|| {
-                eprintln!(
-                    "{}: invalid value '{v}' for --chaos (use 'mixed' or crashN+snicN+blackoutN)",
-                    self.bin
-                );
-                std::process::exit(2);
-            })
+    /// The fault plan selected by the shared `--chaos` axis, if given,
+    /// checked against every cell it will run on, as `(label, shards)`
+    /// pairs. On a malformed plan, or one that kills more shards of a
+    /// class than a cell has, prints the uniform `tool: invalid value`
+    /// line and exits 2 ([`Args::try_chaos`] is the pure variant for
+    /// tests).
+    pub fn chaos(&self, cells: impl IntoIterator<Item = (String, u32)>) -> Option<ChaosSpec> {
+        self.try_chaos(cells).unwrap_or_else(|e| {
+            eprintln!("{}: {}", self.bin, e.message);
+            std::process::exit(2);
         })
+    }
+
+    /// Pure variant of [`Args::chaos`]: no process exit.
+    pub fn try_chaos(
+        &self,
+        cells: impl IntoIterator<Item = (String, u32)>,
+    ) -> Result<Option<ChaosSpec>, CliError> {
+        let Some(v) = self.opt("--chaos") else {
+            return Ok(None);
+        };
+        let invalid = |why: String| CliError {
+            message: format!("invalid value '{v}' for --chaos ({why})"),
+        };
+        let spec = ChaosSpec::parse(v)
+            .ok_or_else(|| invalid("use 'mixed' or crashN+snicN+blackoutN".into()))?;
+        let needed = spec.shards_needed();
+        for (cell, shards) in cells {
+            if needed > shards {
+                return Err(invalid(format!(
+                    "needs {needed} shards, cell {cell} has {shards}"
+                )));
+            }
+        }
+        Ok(Some(spec))
     }
 
     /// The search budget selected by `--quick`.
@@ -564,6 +586,30 @@ mod tests {
         assert!(matches!(cli.parse_from(&argv), Ok(Parsed::Help)));
         assert!(cli.usage().contains("--paper"));
         assert!(cli.usage().contains("--trace PATH"));
+    }
+
+    #[test]
+    fn chaos_plans_must_fit_every_cell() {
+        let cli = Cli::new("diurnal", "test tool").chaos_axis();
+        let a = args_of(&cli, &[]).unwrap();
+        assert_eq!(a.try_chaos([]).unwrap(), None);
+        // mixed crashes 2 servers: a 1-shard cell cannot host it.
+        let a = args_of(&cli, &["--chaos", "mixed"]).unwrap();
+        let cells = [
+            ("diurnal/host/static".to_string(), 1),
+            ("diurnal/fleet/static".to_string(), 4),
+        ];
+        let err = a.try_chaos(cells).unwrap_err();
+        assert_eq!(
+            err.message,
+            "invalid value 'mixed' for --chaos (needs 2 shards, cell diurnal/host/static has 1)"
+        );
+        let a = args_of(&cli, &["--chaos", "crash4"]).unwrap();
+        let spec = a.try_chaos([("fleet/m16/g065".to_string(), 64)]).unwrap();
+        assert_eq!(spec, ChaosSpec::parse("crash4"));
+        let a = args_of(&cli, &["--chaos", "crash4+zap1"]).unwrap();
+        let err = a.try_chaos([]).unwrap_err();
+        assert!(err.message.contains("use 'mixed'"), "{}", err.message);
     }
 
     #[test]

@@ -157,6 +157,12 @@ impl DiurnalConfig {
             chaos: None,
         }
     }
+
+    /// The number of shards the platform serves from: one for host and
+    /// SNIC, [`DiurnalConfig::fleet_shards`] for the fleet.
+    pub fn shards(&self) -> u32 {
+        self.platform.layout(self).0
+    }
 }
 
 /// One simulated hour's roll-up.

@@ -379,6 +379,14 @@ impl ChaosSpec {
     pub fn total(&self) -> u32 {
         self.server_crashes + self.snic_crashes + self.blackouts
     }
+
+    /// The fewest shards a fleet needs to host the spec: each class draws
+    /// distinct victims, so its count may not exceed the shard count.
+    pub fn shards_needed(&self) -> u32 {
+        self.server_crashes
+            .max(self.snic_crashes)
+            .max(self.blackouts)
+    }
 }
 
 impl std::fmt::Display for ChaosSpec {

@@ -177,13 +177,15 @@ proptest! {
     /// The calendar queue agrees with a reference ordered-set model under
     /// arbitrary interleavings of push, pop, and cancel — including
     /// cancels of already-fired and already-cancelled ids, same-instant
-    /// pushes (which must pop in insertion order), and pushes far beyond
-    /// the wheel horizon (which overflow to the far heap and must be
-    /// promoted back as the wheel rotates).
+    /// pushes (which must pop in insertion order), pushes just ahead of
+    /// the last popped instant (the engine's own pattern, which lands in
+    /// the active bucket), and pushes far beyond the wheel horizon (which
+    /// overflow to the far heap and must be promoted back as the wheel
+    /// rotates).
     #[test]
     fn event_queue_matches_reference_model(
         ops in proptest::collection::vec(
-            (0u8..10, 0u64..3_000_000, any::<u64>()),
+            (0u8..11, 0u64..3_000_000, any::<u64>()),
             0..300,
         )
     ) {
@@ -197,18 +199,23 @@ proptest! {
         let mut model: BTreeSet<(SimTime, u64)> = BTreeSet::new();
         let mut issued: Vec<(EventId, SimTime, u64)> = Vec::new();
         let mut next_payload = 0u64;
+        // The last popped instant: the engine's clock.
+        let mut now = SimTime::ZERO;
 
         for (kind, raw_time, sel) in ops {
             match kind {
                 // Push. kind 4 collapses times onto a tiny set of instants
-                // to force same-instant FIFO ties; other kinds span well
-                // past the wheel horizon (~1 ms) to exercise far-heap
+                // to force same-instant FIFO ties; kind 10 schedules just
+                // ahead of the clock as the engine does, a quarter of them
+                // zero-delay follow-ons tied at `now`; other kinds span
+                // well past the wheel horizon (~1 ms) to exercise far-heap
                 // overflow and promotion.
-                0..=4 => {
-                    let t = if kind == 4 {
-                        SimTime::from_nanos(raw_time % 64)
-                    } else {
-                        SimTime::from_nanos(raw_time)
+                0..=4 | 10 => {
+                    let t = match kind {
+                        4 => SimTime::from_nanos(raw_time % 64),
+                        10 if sel % 4 == 0 => now,
+                        10 => SimTime::from_nanos(now.as_nanos() + raw_time % 2048),
+                        _ => SimTime::from_nanos(raw_time),
                     };
                     let payload = next_payload;
                     next_payload += 1;
@@ -220,7 +227,10 @@ proptest! {
                 5..=7 => {
                     let expect = model.pop_first();
                     let got = q.pop();
-                    prop_assert_eq!(got, expect.map(|(t, p)| (t, p)));
+                    prop_assert_eq!(got, expect);
+                    if let Some((t, _)) = got {
+                        now = t;
+                    }
                 }
                 // Cancel a previously issued id (live, fired, or already
                 // cancelled): the return value must agree with whether the

@@ -1,8 +1,10 @@
 #!/bin/bash
-# Tier-1 gate: release build, full test suite, a warning-free clippy pass,
-# the workspace's own static-analysis gate (the tree must self-lint
-# clean, the deliberately-dirty fixture corpus must keep matching its
-# golden diagnostics, diagnostics must be byte-identical at --jobs 1
+# Tier-1 gate: release build, full test suite, perfbench's unit tests
+# (including a tiny smoke of every benchmark workload: zero failed ops,
+# stable digests), a warning-free clippy pass, the workspace's own
+# static-analysis gate (the tree must self-lint clean, the
+# deliberately-dirty fixture corpus must keep matching its golden
+# diagnostics, diagnostics must be byte-identical at --jobs 1
 # and --jobs 4, and the SARIF export must parse with run-to-run stable
 # ordering), the simulator conformance harness (closed-form
 # queueing theory cross-check + per-run invariant audit of every Fig. 4
@@ -34,6 +36,9 @@ cd "$(dirname "$0")"
 # bare `cargo build` would leave the ./target/release binaries below stale.
 cargo build --release --workspace
 cargo test -q
+# perfbench is a package of its own (an empty [workspace] beside its
+# manifest), so the workspace test run above does not reach it.
+cargo test -q --manifest-path crates/bench/src/bin/perfbench/Cargo.toml
 cargo clippy --workspace -- -D warnings
 
 echo "==== static analysis: workspace self-lint + fixture goldens ===="
